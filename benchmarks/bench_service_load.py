@@ -205,7 +205,7 @@ def _mixed_load_phase():
     """The herd against a generously-bounded server; returns metrics."""
     scheduler = Scheduler(
         factory=_AnyFactory(), registry=object(),
-        n_workers=N_SCHED_WORKERS, poll_interval=0.005,
+        n_workers=N_SCHED_WORKERS,
     )
     config = PoolConfig(
         http_workers=16, max_pending=max(256, N_CLIENTS * 2),
@@ -262,7 +262,6 @@ def _admission_probe_phase():
     gate = threading.Event()
     scheduler = Scheduler(
         factory=_AnyFactory(gate), registry=object(), n_workers=1,
-        poll_interval=0.005,
     )
     config = PoolConfig(http_workers=4, admission_queue_depth=1)
     rejected = 0

@@ -25,9 +25,8 @@ exit, discovery runs as jobs against a persistent service:
 * :class:`ServiceServer` / :class:`ServiceClient` — a stdlib-only
   versioned JSON HTTP API (``POST /v1/jobs``, ``GET /v1/jobs[/{id}]``
   with filtering/pagination/weak ETags, ``DELETE /v1/jobs/{id}``,
-  ``GET /v1/results/{id}``, ``GET /v1/healthz``, ``GET /v1/metrics``;
-  the unversioned paths remain as deprecated aliases) and its typed
-  Python client — API failures raise precise
+  ``GET /v1/results/{id}``, ``GET /v1/healthz``, ``GET /v1/metrics``)
+  and its typed Python client — API failures raise precise
   :class:`~repro.exceptions.ApiError` subclasses rebuilt from the
   ``{"error": {code, message, detail}}`` envelope;
 * sharded jobs — ``shards=N`` submissions scatter the search across N

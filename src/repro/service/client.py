@@ -12,11 +12,12 @@ subclass :class:`~repro.exceptions.ServiceError`, so existing
 
 :meth:`ServiceClient.wait` follows the server's cursor-based event
 stream (``GET /v1/events`` long-poll): the client sleeps inside the
-server until the job's next event instead of polling on an interval.
-Against a pre-events server it falls back transparently to conditional
-``ETag`` polling — every unchanged poll is answered ``304 Not Modified``
-with an empty body, so watching a long job costs headers, not repeated
-job records. :meth:`ServiceClient.watch` exposes the same stream as an
+server until the job's next event instead of polling on an interval,
+and its record checks are conditional (``ETag``) — an unchanged job is
+answered ``304 Not Modified`` with an empty body, so watching a long job
+costs headers, not repeated job records. The client ships with the
+server, so it assumes the events route exists.
+:meth:`ServiceClient.watch` exposes the same stream as an
 iterator of raw events; :meth:`ServiceClient.progress` and
 ``result(partial=True)`` read a running job's live counters and partial
 skyline.
@@ -31,7 +32,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Iterator
 
-from ..exceptions import API_ERROR_TYPES, ServiceError, UnknownRouteError
+from ..exceptions import API_ERROR_TYPES, ServiceError
 from ..obs.events import TERMINAL_EVENT_TYPES
 from .jobs import JobState
 
@@ -408,18 +409,15 @@ class ServiceClient:
         self,
         job_id: str,
         timeout: float = 300.0,
-        poll_interval: float = 0.25,
         timing: bool = True,
     ) -> dict[str, Any]:
         """Block until the job is terminal; returns its final record.
 
         Rides the server's event stream: between record checks the
         client long-polls ``GET /v1/events?job=...`` and wakes on the
-        job's next event instead of sleeping a fixed interval. Servers
-        without the events route (404 ``unknown-route``) degrade to the
-        previous behavior — conditional ``ETag`` polling every
-        ``poll_interval`` seconds, where unchanged polls cost a ``304``
-        with no body.
+        job's next event instead of sleeping a fixed interval. Record
+        checks are conditional (``ETag``), so an unchanged job costs a
+        ``304`` with no body.
 
         With ``timing`` (default), the terminal record carries a
         ``"timing"`` key split out from the job's trace — how long the
@@ -431,7 +429,6 @@ class ServiceClient:
         record: dict[str, Any] | None = None
         etag: str | None = None
         cursor = 0
-        use_events = True
         while True:
             headers = {"If-None-Match": etag} if etag else None
             status, response_headers, payload = self._request_full(
@@ -460,27 +457,20 @@ class ServiceClient:
                     f"timed out after {timeout:.0f}s waiting for job "
                     f"{job_id} (still {state})"
                 )
-            if use_events:
-                try:
-                    # Wake on the job's next event. The poll is kept
-                    # under the transport timeout; an empty batch (or a
-                    # dropped-events gap) just re-checks the record.
-                    batch = self.events(
-                        after=cursor,
-                        timeout=min(10.0, max(0.1, remaining)),
-                        job=job_id,
-                    )
-                    cursor = batch["next_cursor"]
-                    continue
-                except UnknownRouteError:
-                    use_events = False  # pre-events server: poll instead
-                except ServiceError:
-                    # Transient stream failure (e.g. proxy timeout):
-                    # fall through to one interval sleep, keep streaming.
-                    pass
-            time.sleep(
-                min(poll_interval, max(0.0, deadline - time.monotonic()))
-            )
+            try:
+                # Wake on the job's next event. The poll is kept under
+                # the transport timeout; an empty batch (or a
+                # dropped-events gap) just re-checks the record.
+                batch = self.events(
+                    after=cursor,
+                    timeout=min(10.0, max(0.1, remaining)),
+                    job=job_id,
+                )
+                cursor = batch["next_cursor"]
+            except ServiceError:
+                # Transient stream failure (e.g. proxy timeout): back
+                # off briefly, then keep streaming.
+                time.sleep(min(0.25, max(0.0, deadline - time.monotonic())))
 
     def run(
         self,

@@ -360,9 +360,9 @@ class PooledHTTPServer(HTTPServer):
             thread.start()
             self._workers.append(thread)
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def serve_forever(self, *args: Any, **kwargs: Any) -> None:
         self.start_pool()
-        super().serve_forever(poll_interval)
+        super().serve_forever(*args, **kwargs)
 
     def stop_pool(self, timeout: float = 5.0) -> None:
         """Stop the mux and join the workers (listening socket closed by

@@ -12,7 +12,9 @@ execute each one through a PR-1 :mod:`repro.exec` backend's
 :meth:`~repro.exec.Backend.run_one` — ``serial`` runs in-thread, while
 ``process`` forks a child per job so a crashing job cannot take the
 service down. Failures are isolated per job: the job ends ``FAILED`` with
-the error recorded, and the worker moves on.
+the error recorded, and the worker moves on. Every ``DONE``/``FAILED``/
+``CANCELLED`` transition goes through ``Scheduler._finish``, the only
+terminal path.
 
 With a :class:`~repro.service.journal.JobJournal` attached, every
 transition is write-ahead logged: on construction the scheduler replays
@@ -60,7 +62,6 @@ wins), so the guarantee is at-least-once.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import threading
@@ -78,7 +79,7 @@ from ..exceptions import (
 )
 from ..exec import Backend, make_backend
 from ..logging_util import get_logger, log_context
-from ..obs import MetricsRegistry, SpanCollector, span, use_collector
+from ..obs import MetricsRegistry, span
 from ..obs.events import (
     JOB_CANCELLED,
     JOB_DONE,
@@ -88,12 +89,10 @@ from ..obs.events import (
     JOB_STARTED,
     JOB_SUBMITTED,
     EventBus,
-    ProgressEmitter,
     drain_progress,
-    use_emitter,
 )
 from ..obs.metrics import render_prometheus
-from ..obs.profiling import profile_to_file, summarize_profile
+from ..obs.profiling import summarize_profile
 from ..report import build_payload
 from ..scenarios.cache import ResultCache
 from ..scenarios.factory import ResolvedScenario, ScenarioFactory
@@ -110,7 +109,7 @@ from .jobs import (
 )
 from .journal import JobJournal
 from .queue import JobQueue
-from .sharding import ShardRun, merge_shard_results
+from .sharding import ShardRun, merge_shard_results, observed_run
 from .store import OracleStore, task_key
 
 logger = get_logger("service.scheduler")
@@ -174,21 +173,19 @@ class _OracleGuard:
         return self.oracle(artifact)
 
 
-def _queue_wait_span(job: Job) -> dict[str, Any] | None:
-    """A synthetic span covering submission → first worker pickup.
+def _queue_wait_span(job: Job, end: float) -> dict[str, Any]:
+    """A synthetic span covering submission → ``end`` (first pickup).
 
     The queue wait happens before any collector exists, so it is
     synthesized from the job's own timestamps. Id 0 is reserved for it
     (collector-allocated ids start at 1, so they never collide).
     """
-    if job.started_at is None:
-        return None
     return {
         "id": 0,
         "parent": None,
         "name": "queue-wait",
         "start": job.submitted_at,
-        "end": job.started_at,
+        "end": end,
         "attrs": {"job_id": job.id},
     }
 
@@ -198,12 +195,9 @@ def _assemble_trace(
 ) -> list[dict[str, Any]]:
     """The persisted trace: synthetic queue-wait + the run's collected spans."""
     spans: list[dict[str, Any]] = []
-    queue_wait = _queue_wait_span(job)
-    if queue_wait is not None:
-        spans.append(queue_wait)
-    if run_spans:
-        spans.extend(run_spans)
-    return spans
+    if job.started_at is not None:
+        spans.append(_queue_wait_span(job, job.started_at))
+    return spans + list(run_spans or [])
 
 
 def _parent_trace(
@@ -223,14 +217,7 @@ def _parent_trace(
     child_starts = [s for _, _, s, _ in child_meta if s is not None]
     scatter_start = min(child_starts) if child_starts else merge_start
     spans: list[dict[str, Any]] = [
-        {
-            "id": 0,
-            "parent": None,
-            "name": "queue-wait",
-            "start": parent.submitted_at,
-            "end": scatter_start,
-            "attrs": {"job_id": parent.id},
-        },
+        _queue_wait_span(parent, scatter_start),
         {
             "id": 1,
             "parent": None,
@@ -276,13 +263,11 @@ class _JobRun:
     store must cross the process boundary so quota-exhausted work still
     warm-starts the next attempt.
 
-    Observability: the run installs a fresh span collector, so every
-    ``obs.span`` opened below it (search levels, oracle fits, valuation
-    batches, pareto thinning) lands in the returned ``"spans"`` list —
-    plain dicts, so they cross the process pipe like everything else.
-    With ``profile_path`` set, the whole run is additionally wrapped in
-    cProfile and dumped to that path *from the executing process* (the
-    fork child shares the filesystem; no profile bytes cross the pipe).
+    Observability comes from :func:`~repro.service.sharding.observed_run`:
+    every ``obs.span`` opened below it (search levels, oracle fits,
+    valuation batches, pareto thinning) lands in the returned ``"spans"``
+    list — plain dicts, so they cross the process pipe like everything
+    else.
     """
 
     __slots__ = (
@@ -326,17 +311,9 @@ class _JobRun:
             time.monotonic() + self.timeout
             if self.timeout is not None else None
         )
-        collector = SpanCollector()
         limit = None
         result = None
-        emitter_cm = (
-            use_emitter(ProgressEmitter(self.progress_fd))
-            if self.progress_fd is not None
-            else contextlib.nullcontext()
-        )
-        with use_collector(collector), profile_to_file(
-            self.profile_path
-        ), emitter_cm:
+        with observed_run(self.profile_path, self.progress_fd) as collector:
             with span("run", job_id=self.job_id):
                 with span("scenario-build"):
                     runnable = self.resolved.build(store=self.store)
@@ -388,7 +365,6 @@ class Scheduler:
         backend: str | Backend = "serial",
         n_workers: int = 2,
         max_retries: int = 2,
-        poll_interval: float = 0.2,
         scheduler_id: str | None = None,
         lease_ttl: float = 30.0,
         lease_sweep_interval: float | None = None,
@@ -417,7 +393,6 @@ class Scheduler:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._threads: list[threading.Thread] = []
-        self._poll_interval = float(poll_interval)
         self._started_at = time.time()
         self.profile_dir = Path(profile_dir) if profile_dir else None
         #: Typed metric series (repro.obs). Each series carries its own
@@ -580,53 +555,28 @@ class Scheduler:
                 )
                 continue
             stats["replayed"] += 1
-            self.jobs[job.id] = job
-            self._register_shard_lineage(job)
+            self._track(job)
             if job.terminal:
                 stats["restored_terminal"] += 1
                 continue
-            if (
-                job.lease_owner not in (None, self.scheduler_id)
-                and self._lease_live(job, now)
-            ):
+            if self._foreign_lease(job, now):
                 # A live peer owns this job: track it, don't touch it.
                 stats["remote_leases"] += 1
                 continue
+            interrupted = job.state == JobState.RUNNING
+            if interrupted:
+                with self._lock:
+                    if not self._requeue_interrupted(job):
+                        stats["failed_retry_budget"] += 1
+                        continue
             if job.is_shard_parent:
                 # Parents never enter the queue; merging is re-elected
-                # after replay once every child is terminal. A crash
-                # mid-merge costs a re-merge, not a retry charge — the
-                # merge is a pure function of the children's results.
-                if job.state == JobState.RUNNING:
-                    job.state = JobState.QUEUED
-                    job.started_at = None
+                # after replay once every child is terminal.
                 stats["shard_parents"] += 1
                 self._acquire_lease(job)
                 continue
-            interrupted = job.state == JobState.RUNNING
             if interrupted:
-                # Interrupted mid-run: the crash consumed one attempt.
-                # The retried/terminal record is appended *before* the
-                # compaction below, so even a crash during recovery
-                # cannot forget the charge (no infinite retry loop).
-                job.retries += 1
-                self._retries_total.inc()
-                job.started_at = None
-                if job.retries > self.max_retries:
-                    job.state = JobState.FAILED
-                    job.finished_at = time.time()
-                    job.updated_at = job.finished_at
-                    job.failure_reason = "retry-budget"
-                    job.error = (
-                        f"crashed {job.retries} time(s); retry budget of "
-                        f"{self.max_retries} exhausted"
-                    )
-                    stats["failed_retry_budget"] += 1
-                    journal.record_terminal(job)
-                    continue
-                job.state = JobState.QUEUED
                 stats["retried"] += 1
-                journal.record_retried(job)
             if job.shard_index is None:
                 # Shard children share their parent's spec fingerprint by
                 # construction — content dedup only applies to ordinary
@@ -773,28 +723,7 @@ class Scheduler:
         )
         fingerprint = spec.fingerprint()
         with self._lock:
-            self.jobs[job.id] = job
-            try:
-                self._journal_submitted(job)
-            except Exception:
-                # Strict WAL: if the submission cannot be made durable it
-                # never happened — unwind the in-memory registration so
-                # no later submission dedups against a phantom job. The
-                # failed append is *indeterminate* (an fsync error can
-                # land after the bytes hit the file), so also try a
-                # compensating cancelled record; if even that fails, the
-                # worst case is one spurious re-run after a restart.
-                del self.jobs[job.id]
-                job.state = JobState.CANCELLED
-                job.finished_at = time.time()
-                try:
-                    self.journal.record_terminal(job)
-                except Exception:
-                    logger.warning(
-                        "job %s: compensating cancellation record also "
-                        "failed; the job may replay once", job.id,
-                    )
-                raise
+            self._journal_submission([job])
             self._submitted.inc()
             self._publish_event(JOB_SUBMITTED, job)
             if record is not None:
@@ -802,19 +731,17 @@ class Scheduler:
                 job.cache_hit = True
                 job.result = record["result"]
                 job.oracle_calls = 0
-                job.transition(JobState.DONE)
                 job.trace = _assemble_trace(job, [{
                     "id": 1,
                     "parent": None,
                     "name": "run",
                     "start": job.started_at,
-                    "end": job.finished_at,
+                    "end": time.time(),
                     "attrs": {"job_id": job.id, "cache_hit": True},
                 }])
                 self._observe_timing(job)
                 self._cache_hits.inc()
-                self._journal_terminal(job)
-                self._cond.notify_all()
+                self._finish(job, JobState.DONE)
             else:
                 primary_id = self._inflight.get(fingerprint)
                 primary = self.jobs.get(primary_id) if primary_id else None
@@ -867,10 +794,7 @@ class Scheduler:
             # cancellation is journaled too: the submitter got an error,
             # so a restart must not resurrect and run this job.
             with self._lock:
-                job.transition(JobState.CANCELLED)
-                self._journal_terminal(job)
-                self._on_terminal(job)
-                self._cond.notify_all()
+                self._finish(job, JobState.CANCELLED)
             raise
         return job
 
@@ -893,12 +817,25 @@ class Scheduler:
         )
 
     # -- sharded jobs ------------------------------------------------------------
-    def _register_shard_lineage(self, job: Job) -> None:
-        """Index a shard child under its parent (lock held or boot)."""
+    def _track(self, job: Job) -> None:
+        """Register a replayed or imported job (lock held or boot),
+        indexing a shard child under its parent."""
+        self.jobs[job.id] = job
         if job.parent_id is not None:
             siblings = self._shard_children.setdefault(job.parent_id, [])
             if job.id not in siblings:
                 siblings.append(job.id)
+
+    def _children_locked(self, parent_id: str) -> list[Job]:
+        """A parent's known shard children, in shard order (lock held)."""
+        return sorted(
+            (
+                self.jobs[cid]
+                for cid in self._shard_children.get(parent_id, [])
+                if cid in self.jobs
+            ),
+            key=lambda c: c.shard_index or 0,
+        )
 
     def _submit_sharded(
         self,
@@ -911,8 +848,8 @@ class Scheduler:
 
         All ``shards + 1`` records are journaled strictly before any
         child is queued — a submission that cannot be made durable as a
-        whole never happened (every already-appended record gets a
-        compensating cancel). Returns the parent job.
+        whole never happened (see :meth:`_journal_submission`). Returns
+        the parent job.
         """
         parent = Job(
             spec=spec, priority=priority, shards=shards,
@@ -930,31 +867,7 @@ class Scheduler:
             for index in range(shards)
         ]
         with self._lock:
-            self.jobs[parent.id] = parent
-            journaled: list[Job] = []
-            try:
-                self._journal_submitted(parent)
-                journaled.append(parent)
-                for child in children:
-                    self.jobs[child.id] = child
-                    self._journal_submitted(child)
-                    journaled.append(child)
-            except Exception:
-                # Strict WAL, all-or-nothing: unwind the whole family and
-                # append compensating cancels for what did get through.
-                for job in (parent, *children):
-                    self.jobs.pop(job.id, None)
-                for job in journaled:
-                    job.state = JobState.CANCELLED
-                    job.finished_at = time.time()
-                    try:
-                        self.journal.record_terminal(job)
-                    except Exception:
-                        logger.warning(
-                            "job %s: compensating cancellation record also "
-                            "failed; the job may replay once", job.id,
-                        )
-                raise
+            self._journal_submission([parent, *children])
             self._submitted.inc()
             self._shard_children[parent.id] = [c.id for c in children]
             self._shards_submitted.inc()
@@ -966,9 +879,8 @@ class Scheduler:
                     parent_id=parent.id,
                     shard_index=child.shard_index,
                 )
-            self._acquire_lease(parent)
-            for child in children:
-                self._acquire_lease(child)
+            for job in (parent, *children):
+                self._acquire_lease(job)
         closed = False
         for child in children:
             try:
@@ -977,10 +889,7 @@ class Scheduler:
                 closed = True
                 with self._lock:
                     if child.state == JobState.QUEUED:
-                        child.transition(JobState.CANCELLED)
-                        self._journal_terminal(child)
-                        self._release_lease(child)
-                        self._cond.notify_all()
+                        self._finish(child, JobState.CANCELLED)
         if closed:
             # Submission raced a shutdown; whatever children did get in
             # settle the parent (FAILED on the cancelled shards) once
@@ -990,12 +899,8 @@ class Scheduler:
         return parent
 
     def _execute_shard(self, job: Job) -> None:
-        """Run one shard child through the backend, then try to settle."""
-        with self._lock:
-            if job.state != JobState.QUEUED:
-                return  # cancelled between pop and execution
-            job.transition(JobState.RUNNING)
-            self._journal_started(job)
+        """Run one claimed shard child through the backend, then try to
+        settle its parent."""
         start = time.perf_counter()
         try:
             resolved = self.factory.resolve(job.spec)
@@ -1011,17 +916,13 @@ class Scheduler:
                 ),
             )
             spans = outcome.pop("spans", None)
-            self._spans_dropped.inc(int(outcome.pop("spans_dropped", 0) or 0))
             with self._lock:
                 job.result = outcome
                 job.run_seconds = time.perf_counter() - start
                 job.trace = _assemble_trace(job, spans)
                 self._stamp_profile(job)
-                job.transition(JobState.DONE)
                 self._observe_timing(job)
-                self._journal_terminal(job)
-                self._release_lease(job)
-                self._cond.notify_all()
+                self._finish(job, JobState.DONE)
         except Exception as exc:  # noqa: BLE001 — per-shard isolation
             logger.warning(
                 "shard %s/%s of job %s failed: %s",
@@ -1031,10 +932,7 @@ class Scheduler:
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.failure_reason = "error"
                 job.run_seconds = time.perf_counter() - start
-                job.transition(JobState.FAILED)
-                self._journal_terminal(job)
-                self._release_lease(job)
-                self._cond.notify_all()
+                self._finish(job, JobState.FAILED)
         self._settle_parent(job.parent_id)
         self._maybe_compact_journal()
 
@@ -1050,20 +948,13 @@ class Scheduler:
             return
         with self._lock:
             parent = self.jobs.get(parent_id)
-            if parent is None or parent.terminal:
-                return
-            child_ids = self._shard_children.get(parent_id, [])
-            children = [
-                self.jobs[cid] for cid in child_ids if cid in self.jobs
-            ]
-            expected = parent.shards or 0
-            if len(children) < expected or not all(
+            if parent is None or parent.state != JobState.QUEUED:
+                return  # gone, terminal, or another worker is merging
+            children = self._children_locked(parent_id)
+            if len(children) < (parent.shards or 0) or not all(
                 c.terminal for c in children
             ):
                 return
-            if parent.state != JobState.QUEUED:
-                return  # another worker (or scheduler) is already merging
-            children.sort(key=lambda c: c.shard_index or 0)
             failed = [c for c in children if c.state != JobState.DONE]
             parent.transition(JobState.RUNNING)
             self._journal_started(parent)
@@ -1078,11 +969,7 @@ class Scheduler:
                     f"finish: {sample}"
                 )
                 parent.failure_reason = "shard"
-                parent.transition(JobState.FAILED)
-                self._journal_terminal(parent)
-                self._release_lease(parent)
-                self._on_terminal(parent)
-                self._cond.notify_all()
+                self._finish(parent, JobState.FAILED)
                 return
             merge_input = [dict(c.result or {}) for c in children]
             child_meta = [
@@ -1097,16 +984,11 @@ class Scheduler:
         except Exception as exc:  # noqa: BLE001 — isolate the merge too
             logger.warning("merge for job %s failed: %s", parent_id, exc)
             with self._lock:
-                if parent.state != JobState.RUNNING:
-                    return
-                parent.error = f"{type(exc).__name__}: {exc}"
-                parent.failure_reason = "error"
-                parent.run_seconds = time.perf_counter() - start
-                parent.transition(JobState.FAILED)
-                self._journal_terminal(parent)
-                self._release_lease(parent)
-                self._on_terminal(parent)
-                self._cond.notify_all()
+                if parent.state == JobState.RUNNING:
+                    parent.error = f"{type(exc).__name__}: {exc}"
+                    parent.failure_reason = "error"
+                    parent.run_seconds = time.perf_counter() - start
+                    self._finish(parent, JobState.FAILED)
             return
         merge_finished_at = time.time()
         with self._lock:
@@ -1117,13 +999,9 @@ class Scheduler:
             parent.trace = _parent_trace(
                 parent, child_meta, merge_started_at, merge_finished_at
             )
-            parent.transition(JobState.DONE)
             self._observe_timing(parent)
-            self._journal_terminal(parent)
-            self._release_lease(parent)
             self._shards_merged.inc()
-            self._on_terminal(parent)
-            self._cond.notify_all()
+            self._finish(parent, JobState.DONE)
         self._maybe_compact_journal()
 
     # -- journal hooks (lock held) -----------------------------------------------
@@ -1140,6 +1018,38 @@ class Scheduler:
         if self.journal is not None:
             self.journal.record_submitted(job)
 
+    def _journal_submission(self, jobs: list[Job]) -> None:
+        """Register and journal a submission's jobs, all or nothing.
+
+        Strict WAL: a submission that cannot be made durable as a whole
+        never happened. This is the one unwind: every job leaves the
+        in-memory table (so no later submission dedups against a phantom
+        job), and every record whose append was attempted gets a
+        compensating cancel — a failed append is *indeterminate* (an
+        fsync error can land after the bytes hit the file). If even that
+        fails, the worst case is one spurious re-run after a restart.
+        """
+        attempted: list[Job] = []
+        try:
+            for job in jobs:
+                self.jobs[job.id] = job
+                attempted.append(job)
+                self._journal_submitted(job)
+        except Exception:
+            for job in jobs:
+                self.jobs.pop(job.id, None)
+            for job in attempted:
+                job.state = JobState.CANCELLED
+                job.finished_at = time.time()
+                try:
+                    self.journal.record_terminal(job)
+                except Exception:
+                    logger.warning(
+                        "job %s: compensating cancellation record also "
+                        "failed; the job may replay once", job.id,
+                    )
+            raise
+
     def _journal_started(self, job: Job) -> None:
         if self.journal is not None:
             try:
@@ -1152,6 +1062,8 @@ class Scheduler:
         self._publish_event(JOB_STARTED, job)
 
     def _journal_terminal(self, job: Job) -> None:
+        """Journal the terminal record and publish the terminal event
+        (called only by :meth:`_finish`)."""
         # Best-effort: the work is already done (or failed) — a journal
         # I/O error must not corrupt the in-memory lifecycle. Worst case
         # the record replays as interrupted and the job re-runs once.
@@ -1163,20 +1075,31 @@ class Scheduler:
                     "job %s: could not journal the %s record",
                     job.id, job.state, exc_info=True,
                 )
-        # Every terminal site funnels through here, so this one hook
-        # publishes the terminal event and retires the live-progress
-        # bookkeeping (partials are only meaningful while running).
+        extra: dict[str, Any] = {"run_seconds": job.run_seconds}
+        if job.error:
+            extra["error"] = job.error
+        summary = summarize_result(job.result)
+        if summary:
+            extra["summary"] = summary
+        self._publish_event(_TERMINAL_EVENTS[job.state], job, **extra)
+
+    def _finish(self, job: Job, state: str) -> None:
+        """The only terminal path: move ``job`` to ``state`` (lock held).
+
+        Drops the job's lease (the terminal record then carries none, so
+        replay and peers see it released), journals the terminal record,
+        publishes the terminal event, retires the live-progress
+        bookkeeping (partials are only meaningful while running), settles
+        in-flight followers, and wakes every waiter.
+        """
+        job.transition(state)
+        job.lease_owner = None
+        job.lease_expires_at = None
+        self._journal_terminal(job)
         self._partials.pop(job.id, None)
         self._last_event_at.pop(job.id, None)
-        event_type = _TERMINAL_EVENTS.get(job.state)
-        if event_type is not None:
-            extra: dict[str, Any] = {"run_seconds": job.run_seconds}
-            if job.error:
-                extra["error"] = job.error
-            summary = summarize_result(job.result)
-            if summary:
-                extra["summary"] = summary
-            self._publish_event(event_type, job, **extra)
+        self._on_terminal(job)
+        self._cond.notify_all()
 
     # -- event bus ---------------------------------------------------------------
     def _publish_event(self, type: str, job: Job, **data: Any) -> None:
@@ -1208,8 +1131,7 @@ class Scheduler:
         job_ids: Collection[str] | None = None
         if job_id is not None:
             with self._lock:
-                if job_id not in self.jobs:
-                    raise UnknownJobError(f"unknown job id {job_id!r}")
+                self._job_locked(job_id)
                 job_ids = {job_id, *self._shard_children.get(job_id, [])}
         if timeout > 0:
             events, next_cursor, dropped = self.event_bus.wait(
@@ -1294,7 +1216,8 @@ class Scheduler:
         directly in-process otherwise), a drain thread ingests JSON lines
         from the read end until EOF — which arrives once the run settles
         and the parent's write end below is closed (the fork child's copy
-        dies with the child).
+        dies with the child). Spans the run's collector dropped past its
+        retention cap are counted here.
         """
         rfd, wfd = os.pipe()
         drain = threading.Thread(
@@ -1305,13 +1228,15 @@ class Scheduler:
         )
         drain.start()
         try:
-            return self.backend.run_one(make_thunk(wfd), timeout=timeout)
+            outcome = self.backend.run_one(make_thunk(wfd), timeout=timeout)
         finally:
             try:
                 os.close(wfd)
             except OSError:  # pragma: no cover - double close cannot happen
                 pass
             drain.join(timeout=5.0)
+        self._spans_dropped.inc(int(outcome.pop("spans_dropped", 0) or 0))
+        return outcome
 
     def _maybe_compact_journal(self) -> None:
         """Fold the journal once it outgrows its segment budget.
@@ -1344,10 +1269,6 @@ class Scheduler:
             logger.warning("journal compaction failed", exc_info=True)
 
     # -- journal leases ----------------------------------------------------------
-    def _lease_active(self) -> bool:
-        """Leases exist only with a journal, an explicit id, and a TTL."""
-        return self._leases_enabled
-
     def _lease_live(self, job: Job, now: float) -> bool:
         """True while ``job``'s lease has an owner and has not expired."""
         return (
@@ -1356,13 +1277,20 @@ class Scheduler:
             and job.lease_expires_at > now
         )
 
+    def _foreign_lease(self, job: Job, now: float) -> bool:
+        """True while a live peer scheduler owns ``job``."""
+        return job.lease_owner != self.scheduler_id and self._lease_live(
+            job, now
+        )
+
     def _acquire_lease(self, job: Job, action: str = "acquired") -> None:
         """Claim (or renew) ``job`` for this scheduler (lock held).
 
         Best-effort: a lease record that cannot be appended only widens
         the adoption window for peers — it never blocks the work itself.
+        Terminal jobs drop their lease in :meth:`_finish`.
         """
-        if not self._lease_active():
+        if not self._leases_enabled:
             return
         try:
             self.journal.record_lease(
@@ -1376,20 +1304,6 @@ class Scheduler:
         job.lease_owner = self.scheduler_id
         job.lease_expires_at = time.time() + self.lease_ttl
 
-    def _release_lease(self, job: Job) -> None:
-        """Drop this scheduler's lease at terminal time (lock held)."""
-        if not self._lease_active() or job.lease_owner != self.scheduler_id:
-            return
-        try:
-            self.journal.record_lease(job.id, "released", self.scheduler_id)
-        except Exception:
-            logger.warning(
-                "job %s: could not journal the lease-released record",
-                job.id, exc_info=True,
-            )
-        job.lease_owner = None
-        job.lease_expires_at = None
-
     def _peer_active(self) -> bool:
         """True while any tracked non-terminal job is live-leased by a peer.
 
@@ -1400,54 +1314,57 @@ class Scheduler:
         now = time.time()
         with self._lock:
             return any(
-                not job.terminal
-                and job.lease_owner not in (None, self.scheduler_id)
-                and self._lease_live(job, now)
+                not job.terminal and self._foreign_lease(job, now)
                 for job in self.jobs.values()
             )
+
+    def _requeue_interrupted(self, job: Job) -> bool:
+        """Return a job that died ``RUNNING`` to ``QUEUED`` (lock held).
+
+        A parent died mid-merge, which is a pure function of its
+        children's results, so its merge is simply re-elected. Any other
+        job is charged one crash retry, journaled before recovery
+        compacts so even a crash during recovery cannot forget it (no
+        infinite retry loop) — or, once ``max_retries`` is spent, fails
+        with ``failure_reason="retry-budget"``. False means it failed.
+        """
+        job.started_at = None
+        if job.is_shard_parent:
+            job.state = JobState.QUEUED
+            return True
+        job.retries += 1
+        self._retries_total.inc()
+        if job.retries > self.max_retries:
+            job.failure_reason = "retry-budget"
+            job.error = (
+                f"crashed {job.retries} time(s); retry budget of "
+                f"{self.max_retries} exhausted"
+            )
+            self._finish(job, JobState.FAILED)
+            return False
+        job.state = JobState.QUEUED
+        try:
+            self.journal.record_retried(job)
+        except Exception:
+            logger.warning(
+                "job %s: could not journal the retry charge",
+                job.id, exc_info=True,
+            )
+        return True
 
     def _adopt_locked(self, job: Job, stats: dict[str, int]) -> None:
         """Take over an unleased/expired non-terminal job (lock held).
 
         A ``RUNNING`` orphan died under its previous owner mid-run, so
-        adoption charges the usual crash retry (failing it outright with
-        ``failure_reason="retry-budget"`` once the budget is spent);
-        ``QUEUED`` orphans are simply re-queued under our lease. Parents
-        are never queued — adopting one just claims the merge.
+        adoption goes through :meth:`_requeue_interrupted`; ``QUEUED``
+        orphans are simply re-queued under our lease. Parents are never
+        queued — adopting one just claims the merge.
         """
-        if job.state == JobState.RUNNING and not job.is_shard_parent:
-            job.retries += 1
-            self._retries_total.inc()
-            job.started_at = None
-            if job.retries > self.max_retries:
-                job.state = JobState.FAILED
-                job.finished_at = time.time()
-                job.updated_at = job.finished_at
-                job.failure_reason = "retry-budget"
-                job.error = (
-                    f"crashed {job.retries} time(s); retry budget of "
-                    f"{self.max_retries} exhausted"
-                )
-                self.jobs[job.id] = job
-                self._register_shard_lineage(job)
-                self._journal_terminal(job)
-                self._cond.notify_all()
-                return
-            job.state = JobState.QUEUED
-            try:
-                self.journal.record_retried(job)
-            except Exception:
-                logger.warning(
-                    "job %s: could not journal the adoption retry",
-                    job.id, exc_info=True,
-                )
-        elif job.is_shard_parent and job.state == JobState.RUNNING:
-            # The previous owner died mid-merge; merging is a pure
-            # function of the children's results, so just re-elect.
-            job.state = JobState.QUEUED
-            job.started_at = None
-        self.jobs[job.id] = job
-        self._register_shard_lineage(job)
+        self._track(job)
+        if job.state == JobState.RUNNING and not self._requeue_interrupted(
+            job
+        ):
+            return
         self._acquire_lease(job)
         stats["adopted"] += 1
         self._lease_events.inc(event="adopted")
@@ -1472,7 +1389,7 @@ class Scheduler:
         ``expired``).
         """
         stats = {"renewed": 0, "imported": 0, "adopted": 0, "expired": 0}
-        if not self._lease_active():
+        if not self._leases_enabled:
             return stats
         with self._lock:
             for job in self.jobs.values():
@@ -1501,25 +1418,15 @@ class Scheduler:
                     job = Job.from_snapshot(snapshot)
                 except Exception:
                     continue
-                if job.terminal:
-                    # A peer finished it: import the outcome wholesale so
-                    # lookups/waits here see the result too.
-                    self.jobs[job_id] = job
-                    self._register_shard_lineage(job)
-                    stats["imported"] += 1
-                    self._lease_events.inc(event="imported")
-                    self._cond.notify_all()
-                    continue
-                if (
-                    job.lease_owner not in (None, self.scheduler_id)
-                    and self._lease_live(job, now)
-                ):
-                    # Still under a live foreign lease: track read-only.
-                    self.jobs[job_id] = job
-                    self._register_shard_lineage(job)
-                    if known is None:
+                if job.terminal or self._foreign_lease(job, now):
+                    # A peer finished it (import the outcome wholesale so
+                    # lookups/waits here see the result too), or it is
+                    # still under a live foreign lease (track read-only).
+                    self._track(job)
+                    if job.terminal or known is None:
                         stats["imported"] += 1
                         self._lease_events.inc(event="imported")
+                    self._cond.notify_all()
                     continue
                 if job.lease_owner is not None:
                     stats["expired"] += 1
@@ -1572,8 +1479,7 @@ class Scheduler:
                 follower.result = job.result
                 follower.oracle_calls = 0
                 follower.run_seconds = 0.0
-                follower.transition(JobState.DONE)
-                self._journal_terminal(follower)
+                self._finish(follower, JobState.DONE)
             return
         promoted, rest = waiting[0], waiting[1:]
         if fingerprint is not None:
@@ -1595,19 +1501,20 @@ class Scheduler:
             self._fingerprints.pop(promoted.id, None)
             self._followers.pop(promoted.id, None)
             for follower in waiting:
-                follower.transition(JobState.CANCELLED)
-                self._journal_terminal(follower)
+                self._finish(follower, JobState.CANCELLED)
 
     # -- lookups -----------------------------------------------------------------
+    def _job_locked(self, job_id: str) -> Job:
+        """One job by id (lock held); unknown ids raise ``UnknownJobError``."""
+        job = self.jobs.get(job_id)
+        if job is None:
+            raise UnknownJobError(f"unknown job id {job_id!r}")
+        return job
+
     def get(self, job_id: str) -> Job:
         """Look one job up by id; unknown ids raise ``UnknownJobError``."""
         with self._lock:
-            try:
-                return self.jobs[job_id]
-            except KeyError:
-                raise UnknownJobError(
-                    f"unknown job id {job_id!r}"
-                ) from None
+            return self._job_locked(job_id)
 
     def describe(self, job_id: str, include_result: bool = False) -> dict:
         """One job's API payload, with shard lineage for parents.
@@ -1617,26 +1524,16 @@ class Scheduler:
         shows scatter progress without N extra lookups.
         """
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(f"unknown job id {job_id!r}")
+            job = self._job_locked(job_id)
             payload = job.to_payload(include_result=include_result)
             if job.is_shard_parent:
-                children = sorted(
-                    (
-                        self.jobs[cid]
-                        for cid in self._shard_children.get(job_id, [])
-                        if cid in self.jobs
-                    ),
-                    key=lambda c: c.shard_index or 0,
-                )
                 payload["shard_jobs"] = [
                     {
                         "id": c.id,
                         "shard_index": c.shard_index,
                         "state": c.state,
                     }
-                    for c in children
+                    for c in self._children_locked(job_id)
                 ]
         return payload
 
@@ -1654,9 +1551,7 @@ class Scheduler:
         the parent.
         """
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(f"unknown job id {job_id!r}")
+            job = self._job_locked(job_id)
             if job.shard_index is not None:
                 raise NotCancellableError(
                     f"job {job_id} is shard {job.shard_index} of "
@@ -1669,18 +1564,11 @@ class Scheduler:
                     "be cancelled",
                     detail={"state": job.state},
                 )
-            job.transition(JobState.CANCELLED)
-            self._journal_terminal(job)
-            self._release_lease(job)
+            self._finish(job, JobState.CANCELLED)
             if job.is_shard_parent:
-                for cid in self._shard_children.get(job.id, []):
-                    child = self.jobs.get(cid)
-                    if child is not None and child.state == JobState.QUEUED:
-                        child.transition(JobState.CANCELLED)
-                        self._journal_terminal(child)
-                        self._release_lease(child)
-            self._on_terminal(job)
-            self._cond.notify_all()
+                for child in self._children_locked(job.id):
+                    if child.state == JobState.QUEUED:
+                        self._finish(child, JobState.CANCELLED)
         self._maybe_compact_journal()
         return job
 
@@ -1697,7 +1585,7 @@ class Scheduler:
             )
             thread.start()
             self._threads.append(thread)
-        if self._lease_active() and self._sweep_thread is None:
+        if self._leases_enabled and self._sweep_thread is None:
             self._sweep_stop.clear()
             self._sweep_thread = threading.Thread(
                 target=self._sweep_loop,
@@ -1728,9 +1616,7 @@ class Scheduler:
             with self._lock:
                 for job in self.jobs.values():
                     if job.state == JobState.QUEUED:
-                        job.transition(JobState.CANCELLED)
-                        self._on_terminal(job)
-                self._cond.notify_all()
+                        self._finish(job, JobState.CANCELLED)
         # Journal-aware non-drain stop must halt the queue outright
         # (drain=False): the jobs left QUEUED would otherwise still be
         # served to workers, running the whole backlog during shutdown.
@@ -1749,48 +1635,42 @@ class Scheduler:
         self.stop()
 
     # -- waiting -----------------------------------------------------------------
+    def _wait_locked(self, done, timeout: float | None) -> bool:
+        """Block on the condition until ``done()``; False on timeout."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not done():
+            if deadline is None:
+                self._cond.wait()
+                continue
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._cond.wait(remaining):
+                return done()
+        return True
+
     def wait(self, job_id: str, timeout: float | None = None) -> Job:
         """Block until a job reaches a terminal state; returns the job."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while True:
-                job = self.jobs.get(job_id)
-                if job is None:
-                    raise UnknownJobError(f"unknown job id {job_id!r}")
-                if job.terminal:
-                    return job
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        raise ServiceError(
-                            f"timed out waiting for job {job_id} "
-                            f"(still {job.state})"
-                        )
+            if not self._wait_locked(
+                lambda: self._job_locked(job_id).terminal, timeout
+            ):
+                raise ServiceError(
+                    f"timed out waiting for job {job_id} "
+                    f"(still {self.jobs[job_id].state})"
+                )
+            return self.jobs[job_id]
 
     def wait_idle(self, timeout: float | None = None) -> bool:
         """Block until no job is queued or running; False on timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while True:
-                if all(job.terminal for job in self.jobs.values()):
-                    return True
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        return False
+            return self._wait_locked(
+                lambda: all(job.terminal for job in self.jobs.values()),
+                timeout,
+            )
 
     # -- execution ---------------------------------------------------------------
     def _worker(self) -> None:
-        while True:
-            job = self.queue.pop(timeout=self._poll_interval)
-            if job is None:
-                if self.queue.closed:
-                    return
-                continue
+        # JobQueue.close() wakes every blocked pop; None means closed.
+        while (job := self.queue.pop()) is not None:
             try:
                 # Correlation context for every log line this job emits,
                 # from any subsystem on this thread (see logging_util).
@@ -1804,18 +1684,20 @@ class Scheduler:
                 logger.exception("worker crashed executing job %s", job.id)
 
     def _execute(self, job: Job) -> None:
-        if job.shard_index is not None:
-            self._execute_shard(job)
-            return
         with self._lock:
             if job.state != JobState.QUEUED:
                 return  # cancelled between pop and execution
             job.transition(JobState.RUNNING)
             self._journal_started(job)
+        if job.shard_index is not None:
+            self._execute_shard(job)
+            return
         spec = job.spec
         start = time.perf_counter()
         warm = False
         warm_records = 0
+        oracle_calls = spans = result = error = reason = None
+        saved = 0
         try:
             resolved = self.factory.resolve(spec)
             key = None
@@ -1852,11 +1734,9 @@ class Scheduler:
                 ),
                 timeout=hard_timeout,
             )
-            self._spans_dropped.inc(int(outcome.get("spans_dropped", 0) or 0))
             oracle_calls = outcome["oracle_calls"]
-            limit = outcome.get("limit")
+            reason = outcome.get("limit")
             spans = outcome.get("spans")
-            saved = 0
             if key is not None and outcome["store_rows"] is not None:
                 # Persistence is best-effort: the discovery already
                 # succeeded (or hit its limit with partial truth worth
@@ -1870,7 +1750,7 @@ class Scheduler:
                         TestStore.from_payload(outcome["store_rows"]),
                         resolved.task.measures,
                         cold_oracle_calls=(
-                            None if warm or limit else oracle_calls
+                            None if warm or reason else oracle_calls
                         ),
                     )
                 except Exception:
@@ -1883,84 +1763,34 @@ class Scheduler:
                 )
                 if warm and baseline is not None and oracle_calls is not None:
                     saved = max(0, baseline - oracle_calls)
-            if limit is not None:
-                self._fail(
-                    job,
-                    start,
-                    warm,
-                    warm_records,
-                    reason=limit,
-                    error=(
-                        f"JobLimitExceeded: job hit its "
-                        + (
-                            f"{job.timeout:g}s wall-clock limit"
-                            if limit == "timeout"
-                            else f"oracle-call quota of {job.max_oracle_calls}"
-                        )
-                    ),
-                    oracle_calls=oracle_calls,
-                    spans=spans,
+            if reason is not None:
+                error = "JobLimitExceeded: job hit its " + (
+                    f"{job.timeout:g}s wall-clock limit"
+                    if reason == "timeout"
+                    else f"oracle-call quota of {job.max_oracle_calls}"
                 )
-                return
-            if self.result_cache is not None:
-                try:
-                    self.result_cache.put(
-                        spec, outcome["result"], outcome["seconds"]
-                    )
-                except Exception:
-                    logger.warning(
-                        "job %s: could not write the result cache entry",
-                        job.id, exc_info=True,
-                    )
-            with self._lock:
-                job.result = outcome["result"]
-                job.run_seconds = time.perf_counter() - start
-                job.oracle_calls = oracle_calls
-                job.warm_started = warm
-                job.warm_records = warm_records
-                job.oracle_calls_saved = saved
-                job.trace = _assemble_trace(job, spans)
-                self._stamp_profile(job)
-                self._oracle_calls_total.inc(oracle_calls or 0)
-                self._oracle_calls_saved_total.inc(saved)
-                if warm:
-                    self._warm_starts.inc()
-                job.transition(JobState.DONE)
-                self._observe_timing(job)
-                self._journal_terminal(job)
-                self._on_terminal(job)
-                self._cond.notify_all()
-            self._maybe_compact_journal()
+            else:
+                result = outcome["result"]
+                if self.result_cache is not None:
+                    try:
+                        self.result_cache.put(
+                            spec, result, outcome["seconds"]
+                        )
+                    except Exception:
+                        logger.warning(
+                            "job %s: could not write the result cache "
+                            "entry", job.id, exc_info=True,
+                        )
         except JobLimitExceeded as exc:
             # Hard kill from the process backend: the child is gone, so
             # no partial store rows survive — only the failure does.
             logger.warning("job %s hit its %s limit: %s",
                            job.id, exc.reason, exc)
-            self._fail(
-                job, start, warm, warm_records,
-                reason=exc.reason, error=f"{type(exc).__name__}: {exc}",
-            )
+            reason, error = exc.reason, f"{type(exc).__name__}: {exc}"
         except Exception as exc:  # noqa: BLE001 — per-job failure isolation
             logger.warning("job %s failed: %s", job.id, exc)
-            self._fail(
-                job, start, warm, warm_records,
-                reason="error", error=f"{type(exc).__name__}: {exc}",
-            )
-
-    def _fail(
-        self,
-        job: Job,
-        start: float,
-        warm: bool,
-        warm_records: int,
-        reason: str,
-        error: str,
-        oracle_calls: int | None = None,
-        spans: list[dict[str, Any]] | None = None,
-    ) -> None:
+            reason, error = "error", f"{type(exc).__name__}: {exc}"
         with self._lock:
-            job.error = error
-            job.failure_reason = reason
             job.run_seconds = time.perf_counter() - start
             job.warm_started = warm
             job.warm_records = warm_records
@@ -1969,15 +1799,19 @@ class Scheduler:
             if oracle_calls is not None:
                 job.oracle_calls = oracle_calls
                 self._oracle_calls_total.inc(oracle_calls)
-            if reason == "timeout":
-                self._failed_limits.inc(reason="timeout")
-            elif reason == "quota":
-                self._failed_limits.inc(reason="quota")
-            job.transition(JobState.FAILED)
+            if error is None:
+                job.result = result
+                job.oracle_calls_saved = saved
+                self._oracle_calls_saved_total.inc(saved)
+                if warm:
+                    self._warm_starts.inc()
+            else:
+                job.error = error
+                job.failure_reason = reason
+                if reason in ("timeout", "quota"):
+                    self._failed_limits.inc(reason=reason)
             self._observe_timing(job)
-            self._journal_terminal(job)
-            self._on_terminal(job)
-            self._cond.notify_all()
+            self._finish(job, JobState.FAILED if error else JobState.DONE)
         self._maybe_compact_journal()
 
     # -- observability helpers ---------------------------------------------------
@@ -2043,6 +1877,21 @@ class Scheduler:
             "leases_held": leases_held,
         }
 
+    def _subsystem_stats(self) -> dict[str, Any]:
+        """Materialization, journal and event-bus stats (``None`` for an
+        absent subsystem). Each subsystem takes its own lock and never
+        calls back into the scheduler. Stub factories (tests) may not
+        carry a task cache."""
+        task_cache = getattr(self.factory, "task_cache", None)
+        stats_fn = getattr(task_cache, "materialization_stats", None)
+        return {
+            "materialization": stats_fn() if stats_fn is not None else None,
+            "journal": (
+                self.journal.stats() if self.journal is not None else None
+            ),
+            "events": self.event_bus.stats(),
+        }
+
     def metrics(self) -> dict[str, Any]:
         """The ``GET /metrics`` payload: queue, jobs, cache, oracle savings,
         per-job limit failures, dedup hits, and journal/recovery state.
@@ -2052,6 +1901,7 @@ class Scheduler:
         snapshot's dict copy, never while the payload is being built.
         """
         table = self._job_table_snapshot()
+        subsystems = self._subsystem_stats()
         submitted = self._submitted.value
         cache_hits = self._cache_hits.value
         lookups = submitted if self.result_cache is not None else 0
@@ -2090,7 +1940,7 @@ class Scheduler:
                 "in_flight": table["children_in_flight"],
             },
             "leases": {
-                "enabled": self._lease_active(),
+                "enabled": self._leases_enabled,
                 "owner": self.scheduler_id,
                 "ttl_seconds": self.lease_ttl,
                 "held": table["leases_held"],
@@ -2100,27 +1950,17 @@ class Scheduler:
                 "imported": self._lease_events.get(event="imported"),
             },
         }
-        # The task cache has its own lock and never calls back into the
-        # scheduler. Stub factories (tests) may not carry a task cache;
-        # report zeroed counters then.
-        task_cache = getattr(self.factory, "task_cache", None)
-        stats_fn = getattr(task_cache, "materialization_stats", None)
-        metrics["materialization"] = (
-            stats_fn()
-            if stats_fn is not None
-            else {
-                "spaces": 0,
-                "hits": 0,
-                "misses": 0,
-                "bytes": 0,
-                "entries": 0,
-                "evictions": 0,
-            }
-        )
+        materialization = subsystems["materialization"]
+        if materialization is None:  # no task cache: zeroed counters
+            materialization = dict.fromkeys(
+                ("spaces", "hits", "misses", "bytes", "entries", "evictions"),
+                0,
+            )
+        metrics["materialization"] = materialization
         if self.journal is not None:
             metrics["journal"] = {
                 "enabled": True,
-                **self.journal.stats(),
+                **subsystems["journal"],
                 "recovery": dict(self._recovery),
             }
         else:
@@ -2131,7 +1971,7 @@ class Scheduler:
             }
         else:
             metrics["oracle_store"] = {"enabled": False}
-        metrics["events"] = self.event_bus.stats()
+        metrics["events"] = subsystems["events"]
         return metrics
 
     def metrics_prometheus(self) -> str:
@@ -2151,21 +1991,19 @@ class Scheduler:
         }
         for state, count in table["by_state"].items():
             gauges[f"repro_jobs_{state}"] = count
-        task_cache = getattr(self.factory, "task_cache", None)
-        stats_fn = getattr(task_cache, "materialization_stats", None)
-        if stats_fn is not None:
-            stats = stats_fn()
+        subsystems = self._subsystem_stats()
+        materialization = subsystems["materialization"]
+        if materialization is not None:
             for key in ("hits", "misses", "bytes", "entries", "evictions"):
-                gauges[f"repro_materialization_{key}"] = stats.get(key, 0)
-        if self.journal is not None:
-            for key, value in self.journal.stats().items():
+                gauges[f"repro_materialization_{key}"] = materialization.get(
+                    key, 0
+                )
+        for prefix in ("journal", "events"):
+            for key, value in (subsystems[prefix] or {}).items():
                 if isinstance(value, (int, float)) and not isinstance(
                     value, bool
                 ):
-                    gauges[f"repro_journal_{key}"] = value
-        for key, value in self.event_bus.stats().items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                gauges[f"repro_events_{key}"] = value
+                    gauges[f"repro_{prefix}_{key}"] = value
         return render_prometheus(self.metrics_registry, extra_gauges=gauges)
 
     def trace(self, job_id: str) -> dict[str, Any]:
@@ -2177,25 +2015,17 @@ class Scheduler:
         finished under a SIGKILLed peer scheduler.
         """
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(f"unknown job id {job_id!r}")
+            job = self._job_locked(job_id)
             spans = list(job.trace or [])
-            shard_traces: list[dict[str, Any]] = []
-            if job.is_shard_parent:
-                for child_id in self._shard_children.get(job_id, []):
-                    child = self.jobs.get(child_id)
-                    if child is None:
-                        continue
-                    shard_traces.append(
-                        {
-                            "job_id": child.id,
-                            "shard_index": child.shard_index,
-                            "state": child.state,
-                            "spans": list(child.trace or []),
-                        }
-                    )
-                shard_traces.sort(key=lambda c: c["shard_index"] or 0)
+            shard_traces = [
+                {
+                    "job_id": child.id,
+                    "shard_index": child.shard_index,
+                    "state": child.state,
+                    "spans": list(child.trace or []),
+                }
+                for child in self._children_locked(job_id)
+            ]
             payload: dict[str, Any] = {
                 "job_id": job.id,
                 "state": job.state,
@@ -2252,19 +2082,10 @@ class Scheduler:
         """
         now = time.time()
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(f"unknown job id {job_id!r}")
+            job = self._job_locked(job_id)
             payload = self._progress_entry_locked(job, now)
             if job.is_shard_parent:
-                children = sorted(
-                    (
-                        self.jobs[cid]
-                        for cid in self._shard_children.get(job_id, [])
-                        if cid in self.jobs
-                    ),
-                    key=lambda c: c.shard_index or 0,
-                )
+                children = self._children_locked(job_id)
                 shards = [
                     self._progress_entry_locked(child, now)
                     for child in children
@@ -2304,9 +2125,7 @@ class Scheduler:
         """
         now = time.time()
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(f"unknown job id {job_id!r}")
+            job = self._job_locked(job_id)
             if job.state == JobState.DONE:
                 return {
                     "job_id": job.id,
@@ -2321,8 +2140,8 @@ class Scheduler:
             if job.is_shard_parent:
                 seen_bits: set[Any] = set()
                 stamps: list[float] = []
-                for cid in self._shard_children.get(job_id, []):
-                    snap = self._partials.get(cid)
+                for child in self._children_locked(job_id):
+                    snap = self._partials.get(child.id)
                     if not snap:
                         continue
                     stamps.append(snap["updated_at"])

@@ -45,10 +45,6 @@ Routes (v1)::
                              ``?format=prometheus`` renders the same
                              registry as Prometheus text exposition
 
-The original unversioned paths (``/jobs``, ``/results/{id}``,
-``/healthz``, ``/metrics``) remain as deprecated aliases: same handlers,
-same payloads, plus a ``Deprecation: true`` response header.
-
 Every 4xx/5xx body is the error envelope::
 
     {"error": {"code": "...", "message": "...", "detail": {...}}}
@@ -186,19 +182,13 @@ class _Handler(BaseHTTPRequestHandler):
         logger.debug("%s %s", self.address_string(), format % args)
 
     def _split_route(self) -> tuple[str, str]:
-        """Normalize the request path to its unversioned route + query.
-
-        ``/v1/...`` is the current API; bare paths are the deprecated
-        aliases and mark the response (``Deprecation: true``).
-        """
+        """The request's route below ``/v1``, plus its query string;
+        paths outside ``/v1`` match no route."""
         path, _, query = self.path.partition("?")
         path = path.rstrip("/") or "/"
-        if path == "/v1" or path.startswith("/v1/"):
-            self._deprecated = False
-            path = path[len("/v1"):] or "/"
-        else:
-            self._deprecated = True
-        return path, query
+        if path != "/v1" and not path.startswith("/v1/"):
+            raise UnknownRouteError(f"no route for {self.command} {path}")
+        return path[len("/v1"):] or "/", query
 
     def _send_json(
         self,
@@ -212,8 +202,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        if getattr(self, "_deprecated", False):
-            self.send_header("Deprecation", "true")
         if self.close_connection:
             # Set when we refuse to read a request body: the unread bytes
             # would desynchronize a kept-alive HTTP/1.1 stream.
@@ -228,8 +216,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
-        if getattr(self, "_deprecated", False):
-            self.send_header("Deprecation", "true")
         self.end_headers()
         self.wfile.write(data)
 
@@ -237,8 +223,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(304)
         self.send_header("ETag", etag)
         self.send_header("Content-Length", "0")
-        if getattr(self, "_deprecated", False):
-            self.send_header("Deprecation", "true")
         self.end_headers()
 
     def _send_error_json(
@@ -433,7 +417,7 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
                 "journal": scheduler.journal is not None,
                 "scheduler_id": scheduler.scheduler_id,
-                "leases": scheduler._lease_active(),
+                "leases": scheduler._leases_enabled,
                 "http": self.server.pool_stats(),  # type: ignore[attr-defined]
             }
             payload.update(

@@ -26,16 +26,15 @@ so shard results survive the journal, the process backend's pipe, and
 
 from __future__ import annotations
 
+import contextlib
 import time
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..distributed.coordinator import merge_skylines
 from ..distributed.partition import partition_frontier
 from ..distributed.worker import ShippedState, WorkerJob, run_worker_job
-import contextlib
-
 from ..exceptions import ServiceError
 from ..obs import ProgressEmitter, SpanCollector, span, use_collector, use_emitter
 from ..obs.profiling import profile_to_file
@@ -50,16 +49,36 @@ def shard_budget(budget: int, n_shards: int) -> int:
     return max(1, budget // n_shards)
 
 
+@contextlib.contextmanager
+def observed_run(
+    profile_path: str | None, progress_fd: int | None
+) -> Iterator[SpanCollector]:
+    """The envelope every backend unit runs in; yields its span collector.
+
+    Installs a fresh collector (so every ``obs.span`` opened inside lands
+    in the unit's returned ``"spans"``), cProfiles the block to
+    ``profile_path`` *from the executing process* (the fork child shares
+    the filesystem; no profile bytes cross the pipe), and emits live
+    progress on ``progress_fd`` — each part a no-op when not asked for.
+    """
+    collector = SpanCollector()
+    emitter = (
+        use_emitter(ProgressEmitter(progress_fd))
+        if progress_fd is not None
+        else contextlib.nullcontext()
+    )
+    with use_collector(collector), profile_to_file(profile_path), emitter:
+        yield collector
+
+
 class ShardRun:
     """The backend unit for one shard: seeded local search, plain result.
 
-    Mirrors the scheduler's ``_JobRun`` contract — fork-friendly and
-    returning only JSON-able data — but runs the distributed worker's
-    seeded search over partition ``shard_index`` of ``n_shards`` instead
-    of the scenario's single-node algorithm. Like ``_JobRun``, it
-    installs a span collector for the duration of the run, so the
-    seeded search's per-phase spans come back as the ``"spans"`` list
-    (which the scheduler persists as the shard child's trace).
+    Mirrors the scheduler's ``_JobRun`` contract — fork-friendly,
+    returning only JSON-able data, and run inside :func:`observed_run`
+    — but runs the distributed worker's seeded search over partition
+    ``shard_index`` of ``n_shards`` instead of the scenario's
+    single-node algorithm.
     """
 
     __slots__ = (
@@ -90,16 +109,8 @@ class ShardRun:
     def __call__(self) -> dict[str, Any]:
         spec = self.resolved.spec
         task = self.resolved.task
-        collector = SpanCollector()
-        emitter_cm = (
-            use_emitter(ProgressEmitter(self.progress_fd))
-            if self.progress_fd is not None
-            else contextlib.nullcontext()
-        )
         start = time.perf_counter()
-        with use_collector(collector), profile_to_file(
-            self.profile_path
-        ), emitter_cm:
+        with observed_run(self.profile_path, self.progress_fd) as collector:
             with span(
                 "run", job_id=self.job_id, shard_index=self.shard_index
             ):

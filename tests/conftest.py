@@ -9,6 +9,8 @@ from __future__ import annotations
 import pytest
 
 from repro.datalake import make_task
+# Re-exported so every test module can request it by name.
+from tests.helpers import expected_crashes  # noqa: F401
 
 
 @pytest.fixture(scope="session")

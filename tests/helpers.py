@@ -11,15 +11,20 @@ recovery suite: :class:`CrashingBackend` raises :class:`SimulatedCrash`
 (a ``BaseException``, so the scheduler's per-job failure isolation cannot
 catch and "handle" it — exactly like a SIGKILL, the job just never
 finishes) at configurable execution points; :class:`CrashingScheduler`
-wires one in; :func:`torn_write` appends the partial line a crash
-mid-append leaves behind. After an injected crash the scheduler object is
-simply abandoned — recovery is asserted by building a *fresh* scheduler
-on the same journal directory, which is precisely the restart path.
+wires one in; the :func:`expected_crashes` fixture records the worker
+deaths a test injects (so a real thread crash still stands out);
+:func:`torn_write` appends the partial line a crash mid-append leaves
+behind. After an injected crash the scheduler object is simply abandoned
+— recovery is asserted by building a *fresh* scheduler on the same
+journal directory, which is precisely the restart path.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
+import pytest
 
 from repro.core.measures import Measure, MeasureSet
 from repro.core.state import bits_to_array
@@ -221,6 +226,50 @@ class CrashingBackend(Backend):
         return result
 
 
+class ExpectedCrashes:
+    """Every :class:`SimulatedCrash` a worker thread died of, in order.
+
+    Installed as ``threading.excepthook`` by :func:`expected_crashes`;
+    any other uncaught thread exception goes on to the previous hook, so
+    pytest still reports it.
+    """
+
+    def __init__(self, previous):
+        self.previous = previous
+        self.crashes: list[SimulatedCrash] = []
+        self._cond = threading.Condition()
+
+    def hook(self, args: threading.ExceptHookArgs) -> None:
+        if not issubclass(args.exc_type, SimulatedCrash):
+            self.previous(args)
+            return
+        with self._cond:
+            self.crashes.append(args.exc_value)
+            self._cond.notify_all()
+
+    def wait(self, count: int, timeout: float = 10.0) -> int:
+        """Block until ``count`` crashes landed; returns how many did."""
+        with self._cond:
+            self._cond.wait_for(lambda: len(self.crashes) >= count, timeout)
+            return len(self.crashes)
+
+
+@pytest.fixture()
+def expected_crashes():
+    """Expect injected worker deaths: yields an :class:`ExpectedCrashes`.
+
+    Swaps ``threading.excepthook`` for the test's duration, so the
+    crashes a test injects are recorded (and can be counted) instead of
+    surfacing as unhandled-thread-exception warnings.
+    """
+    crashes = ExpectedCrashes(threading.excepthook)
+    threading.excepthook = crashes.hook
+    try:
+        yield crashes
+    finally:
+        threading.excepthook = crashes.previous
+
+
 class CrashingScheduler(Scheduler):
     """A scheduler wired to a :class:`CrashingBackend`.
 
@@ -231,7 +280,6 @@ class CrashingScheduler(Scheduler):
 
     def __init__(self, *, crash_before=(), crash_after=(), **kwargs):
         kwargs.setdefault("n_workers", 1)
-        kwargs.setdefault("poll_interval", 0.02)
         super().__init__(**kwargs)
         self.backend = CrashingBackend(
             crash_before=crash_before, crash_after=crash_after

@@ -1,10 +1,9 @@
-"""The versioned v1 HTTP surface: aliases, envelopes, pages, ETags.
+"""The versioned v1 HTTP surface: routes, envelopes, pages, ETags.
 
 Everything here drives a real :class:`ServiceServer` over the wire.
-Covered: ``/v1`` routes answer identically to the deprecated unversioned
-aliases (which additionally carry ``Deprecation: true``); every 4xx body
-is the ``{"error": {code, message, detail}}`` envelope and the client
-re-raises the matching :class:`~repro.exceptions.ApiError` subclass;
+Covered: only ``/v1`` paths are routes (a bare ``/jobs`` is an unknown
+route); every 4xx body is the ``{"error": {code, message, detail}}``
+envelope and the client re-raises the matching :class:`~repro.exceptions.ApiError` subclass;
 ``GET /v1/jobs`` filters, limits, and walks cursors; ``POST /v1/jobs``
 with a list answers 207 with per-item outcomes; and ``GET /v1/jobs/{id}``
 serves weak ETags so unchanged polls are empty ``304``\\ s.
@@ -35,7 +34,7 @@ INLINE_SPEC = dict(
 
 @pytest.fixture()
 def service(tmp_path):
-    scheduler = Scheduler(n_workers=1, poll_interval=0.02)
+    scheduler = Scheduler(n_workers=1)
     with ServiceServer(scheduler, port=0) as server:
         client = ServiceClient(server.url, timeout=10.0)
         client.scheduler = scheduler
@@ -67,51 +66,11 @@ def raw(client, method, path, body=None, headers=None):
 
 
 class TestVersionedRoutes:
-    def test_v1_and_legacy_healthz_agree(self, service):
-        _, v1_headers, v1 = raw(service, "GET", "/v1/healthz")
-        _, legacy_headers, legacy = raw(service, "GET", "/healthz")
-        assert v1["status"] == legacy["status"] == "ok"
-        assert v1["api"] == "v1"
-        assert v1["scheduler_id"] == legacy["scheduler_id"]
-        assert "Deprecation" not in v1_headers
-        assert legacy_headers.get("Deprecation") == "true"
-
-    def test_legacy_aliases_cover_every_route(self, service):
-        record = service.submit(**INLINE_SPEC)
-        service.wait(record["id"], timeout=60.0)
-        for path in (
-            "/jobs",
-            f"/jobs/{record['id']}",
-            f"/results/{record['id']}",
-            "/metrics",
-        ):
-            v1_status, _, v1_body = raw(service, "GET", f"/v1{path}")
-            status, headers, body = raw(service, "GET", path)
-            assert (status, v1_status) == (200, 200), path
-            assert headers.get("Deprecation") == "true", path
-            for payload in (body, v1_body):
-                payload.pop("uptime_seconds", None)  # wall clock moved
-            assert body == v1_body, path
-
-    def test_unversioned_post_and_delete_are_deprecated_aliases(
-        self, service
-    ):
-        # The single worker is busy with the first job long enough for
-        # the second to be cancelled while still queued.
-        blocker = raw(
-            service, "POST", "/jobs", body=dict(INLINE_SPEC, budget=40)
-        )[2]
-        status, headers, body = raw(
-            service, "POST", "/jobs", body=dict(INLINE_SPEC)
-        )
-        assert status == 201
-        assert headers.get("Deprecation") == "true"
-        status, headers, _ = raw(
-            service, "DELETE", f"/jobs/{body['id']}"
-        )
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        service.wait(blocker["id"], timeout=60.0)
+    def test_unversioned_path_is_an_unknown_route(self, service):
+        status, headers, body = raw(service, "GET", "/jobs")
+        assert status == 404
+        assert body["error"]["code"] == "unknown-route"
+        assert "Deprecation" not in headers
 
 
 class TestErrorEnvelope:

@@ -44,7 +44,6 @@ def overloaded():
         factory.on(name, lambda: None)
     scheduler = Scheduler(
         factory=factory, registry=object(), n_workers=1,
-        poll_interval=0.02,
     )
     config = PoolConfig(http_workers=4, admission_queue_depth=1)
     server = ServiceServer(scheduler, port=0, config=config)

@@ -9,22 +9,29 @@ tiny search end to end and checks the ``/v1/events``, ``/progress``,
 ``wait``/``watch``.
 """
 
+import contextlib
 import threading
 import time
 
 import pytest
 
-from repro.exceptions import ServiceError, UnknownJobError
+from repro.exceptions import JobLimitExceeded, ServiceError, UnknownJobError
 from repro.obs.events import TERMINAL_EVENT_TYPES, emit, emit_partial
-from repro.service import Scheduler
+from repro.scenarios import ResultCache
+from repro.scenarios.spec import Scenario
+from repro.service import JobJournal, JobState, Scheduler
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceServer
-from tests.helpers import StubFactory, service_spec as spec
+from tests.helpers import (
+    AnythingFactory,
+    CrashingScheduler,
+    StubFactory,
+    service_spec as spec,
+)
 
 
 def make_scheduler(factory, **kwargs):
     kwargs.setdefault("n_workers", 1)
-    kwargs.setdefault("poll_interval", 0.02)
     kwargs.setdefault("registry", object())
     return Scheduler(factory=factory, **kwargs)
 
@@ -268,7 +275,7 @@ class TestHTTPEventSurface:
     @pytest.fixture()
     def service(self):
         scheduler = Scheduler(
-            registry=object(), n_workers=2, poll_interval=0.02
+            registry=object(), n_workers=2
         )
         with ServiceServer(scheduler, port=0) as server:
             yield ServiceClient(server.url, timeout=15.0)
@@ -334,3 +341,139 @@ class TestHTTPEventSurface:
         assert health["workers"]["total"] == 2
         assert health["events"]["capacity"] > 0
         assert health["running_jobs"] == []
+
+
+@contextlib.contextmanager
+def served(scheduler):
+    """Serve (and start) ``scheduler``; yields a client for it."""
+    with ServiceServer(scheduler, port=0) as server:
+        yield ServiceClient(server.url, timeout=10.0)
+
+
+def terminal_events(client, job_id):
+    """The terminal event types ``GET /v1/events?job=`` shows for one job."""
+    batch = client.events(job=job_id, limit=512)
+    return [
+        e["type"]
+        for e in batch["events"]
+        if e["job_id"] == job_id and e["type"] in TERMINAL_EVENT_TYPES
+    ]
+
+
+class TestOneTerminalEventPerJob:
+    """Every terminal path publishes exactly one terminal event."""
+
+    def run_one(self, body, **kwargs):
+        factory = StubFactory()
+        factory.on("s1", body)
+        scheduler = make_scheduler(factory, **kwargs)
+        with served(scheduler) as client:
+            job = scheduler.wait(scheduler.submit(spec("s1")).id, timeout=10)
+            return job, terminal_events(client, job.id)
+
+    def test_result_cache_hit(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(spec("seed"), {"entries": []}, elapsed_seconds=0.1)
+        scheduler = make_scheduler(AnythingFactory(), result_cache=cache)
+        with served(scheduler) as client:
+            job = scheduler.submit(spec("hit"))
+            assert job.cache_hit
+            assert terminal_events(client, job.id) == ["job.done"]
+
+    def test_run_done(self):
+        job, events = self.run_one(lambda: None)
+        assert job.state == JobState.DONE
+        assert events == ["job.done"]
+
+    def test_run_error(self):
+        def body():
+            raise ValueError("stub exploded")
+
+        job, events = self.run_one(body)
+        assert job.failure_reason == "error"
+        assert events == ["job.failed"]
+
+    def test_limit_hit(self):
+        def body():
+            raise JobLimitExceeded("quota", "stub spent its quota")
+
+        job, events = self.run_one(body)
+        assert job.failure_reason == "quota"
+        assert events == ["job.failed"]
+
+    def test_follower_done_and_cancel(self):
+        gate = threading.Event()
+        factory = StubFactory()
+        factory.on("s1", lambda: gate.wait(10.0))
+        factory.on("s2", lambda: None)
+        scheduler = make_scheduler(factory)
+        with served(scheduler) as client:
+            primary = scheduler.submit(spec("s1"))
+            follower = scheduler.submit(spec("s1"))
+            victim = scheduler.submit(spec("s2"))
+            scheduler.cancel(victim.id)
+            gate.set()
+            scheduler.wait(follower.id, timeout=10)
+            assert follower.deduped
+            assert terminal_events(client, primary.id) == ["job.done"]
+            assert terminal_events(client, follower.id) == ["job.done"]
+            assert terminal_events(client, victim.id) == ["job.cancelled"]
+
+    def test_queue_closed_cancel(self):
+        factory = StubFactory()
+        factory.on("s1", lambda: None)
+        scheduler = make_scheduler(factory)
+        with served(scheduler) as client:
+            scheduler.queue.close()
+            with pytest.raises(ServiceError, match="closed"):
+                scheduler.submit(spec("s1"))
+            job = scheduler.list_jobs()[-1]
+            assert job.state == JobState.CANCELLED
+            assert terminal_events(client, job.id) == ["job.cancelled"]
+
+    def test_shard_children_and_parent_merge(self):
+        quick = Scenario(
+            name="s1", task="T3", algorithm="apx", epsilon=0.3, budget=6,
+            max_level=2, scale=0.2, estimator="oracle",
+        )
+        scheduler = Scheduler(n_workers=1)
+        with served(scheduler) as client:
+            parent = scheduler.submit(quick, shards=2)
+            assert scheduler.wait(parent.id, timeout=120).state == "done"
+            children = scheduler.describe(parent.id)["shard_jobs"]
+            assert len(children) == 2
+            for child in children:
+                assert terminal_events(client, child["id"]) == ["job.done"]
+            assert terminal_events(client, parent.id) == ["job.done"]
+
+    def test_parent_shard_failure(self):
+        # Stub specs cannot build a shard run, so every shard fails.
+        factory = StubFactory()
+        factory.on("s1", lambda: None)
+        scheduler = make_scheduler(factory)
+        with served(scheduler) as client:
+            parent = scheduler.submit(spec("s1"), shards=2)
+            job = scheduler.wait(parent.id, timeout=10)
+            assert job.failure_reason == "shard"
+            for child in scheduler.describe(parent.id)["shard_jobs"]:
+                assert terminal_events(client, child["id"]) == ["job.failed"]
+            assert terminal_events(client, parent.id) == ["job.failed"]
+
+    def test_retry_budget_failure_during_boot_replay(
+        self, tmp_path, expected_crashes
+    ):
+        factory = StubFactory()
+        factory.on("s1", lambda: None)
+        crashed = CrashingScheduler(
+            registry=object(), factory=factory,
+            journal=JobJournal(tmp_path), crash_after=(1,),
+        )
+        crashed.start()
+        job = crashed.submit(spec("s1"))
+        assert expected_crashes.wait(1) == 1
+        revived = make_scheduler(
+            factory, journal=JobJournal(tmp_path), max_retries=0
+        )
+        with served(revived) as client:
+            assert revived.get(job.id).failure_reason == "retry-budget"
+            assert terminal_events(client, job.id) == ["job.failed"]

@@ -28,7 +28,6 @@ def service(tmp_path):
     scheduler = Scheduler(
         oracle_store=OracleStore(tmp_path / "oracle-stores"),
         n_workers=1,
-        poll_interval=0.02,
     )
     with ServiceServer(scheduler, port=0) as server:
         yield ServiceClient(server.url, timeout=10.0)
@@ -159,7 +158,7 @@ class TestConnectionHygiene:
             # Declare an oversized body; the server must 400 without
             # reading it and tell us the connection is done for.
             conn.request(
-                "POST", "/jobs", body=b"{}",
+                "POST", "/v1/jobs", body=b"{}",
                 headers={"Content-Length": str(MAX_BODY_BYTES + 1)},
             )
             response = conn.getresponse()

@@ -29,7 +29,7 @@ EXHAUSTIVE = dict(
 )
 # A sweep interval far beyond any test duration: sweeps happen only when
 # a test calls sweep_leases() itself.
-MANUAL = dict(lease_sweep_interval=3600.0, poll_interval=0.02)
+MANUAL = dict(lease_sweep_interval=3600.0)
 
 
 def stub_scheduler(journal_dir, names=("j1",), **kwargs):
@@ -176,10 +176,36 @@ class TestOwnershipAcrossRestarts:
         assert observer.get(job.id).state == JobState.DONE
 
 
+class TestTerminalRelease:
+    @pytest.mark.parametrize("state", [JobState.DONE, JobState.FAILED])
+    def test_terminal_job_holds_no_lease(self, tmp_path, state):
+        def body():
+            if state == JobState.FAILED:
+                raise ValueError("stub exploded")
+
+        factory = StubFactory()
+        factory.on("j1", body)
+        scheduler = Scheduler(
+            registry=object(), factory=factory,
+            journal=JobJournal(tmp_path),
+            scheduler_id="sched-a", lease_ttl=300.0,
+            n_workers=1, **MANUAL,
+        )
+        with scheduler:
+            job = scheduler.wait(scheduler.submit(spec("j1")).id, timeout=10)
+            assert job.state == state
+            assert job.lease_owner is None
+            assert job.lease_expires_at is None
+            assert scheduler.describe(job.id)["lease_owner"] is None
+        snapshot = JobJournal(tmp_path).replay().jobs[job.id]
+        assert snapshot["lease_owner"] is None
+        assert snapshot["lease_expires_at"] is None
+
+
 class TestSurvivorFinishesShardedJob:
     def test_sigkilled_peer_mid_shard_identical_skyline(self, tmp_path):
         # The undisturbed reference: one scheduler, no journal.
-        with Scheduler(n_workers=2, poll_interval=0.02) as reference:
+        with Scheduler(n_workers=2) as reference:
             ref_parent = reference.submit(Scenario(**EXHAUSTIVE), shards=2)
             ref_job = reference.wait(ref_parent.id, timeout=300)
             assert ref_job.state == "done", ref_job.error

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.estimator import TestRecord, TestStore
+from repro.core import estimator as core_estimator
 from repro.exceptions import JobLimitExceeded, ServiceError
 from repro.exec.backends import ProcessBackend
 from repro.service import JobState, OracleStore, Scheduler
@@ -38,11 +38,11 @@ class ProbeEstimator:
     def __init__(self):
         self.oracle = self._oracle
         self.oracle_calls = 0
-        self.store = TestStore()
+        self.store = core_estimator.TestStore()
 
     def _oracle(self, bits):
         self.oracle_calls += 1
-        self.store.add(TestRecord(
+        self.store.add(core_estimator.TestRecord(
             bits=bits,
             features=np.array([float(bits)]),
             perf=np.array([0.5]),
@@ -97,7 +97,6 @@ class ProbeFactory:
 
 def make_scheduler(factory, **kwargs):
     kwargs.setdefault("n_workers", 1)
-    kwargs.setdefault("poll_interval", 0.02)
     return Scheduler(registry=object(), factory=factory, **kwargs)
 
 

@@ -30,7 +30,6 @@ from tests.unit.test_obs import _parse_prometheus
 
 def make_scheduler(factory=None, **kwargs):
     kwargs.setdefault("n_workers", 1)
-    kwargs.setdefault("poll_interval", 0.02)
     if factory is not None:
         kwargs.setdefault("registry", object())
         kwargs["factory"] = factory
@@ -183,7 +182,7 @@ class TestTraces:
         """Acceptance: the tree covers queue-wait, run, and >= 3 distinct
         search phases."""
         scheduler = Scheduler(
-            registry=object(), n_workers=1, poll_interval=0.02
+            registry=object(), n_workers=1
         )
         with scheduler:
             job = scheduler.submit(spec("real", estimator="oracle"))
@@ -202,7 +201,6 @@ class TestTraces:
             registry=object(),
             journal=JobJournal(journal_dir),
             n_workers=2,
-            poll_interval=0.02,
         )
         with scheduler:
             parent = scheduler.submit(
@@ -243,7 +241,6 @@ class TestProfilingIntegration:
         scheduler = Scheduler(
             registry=object(),
             n_workers=1,
-            poll_interval=0.02,
             profile_dir=tmp_path / "profiles",
         )
         with scheduler:
@@ -274,7 +271,7 @@ class TestHTTPSurface:
     @pytest.fixture()
     def service(self):
         scheduler = Scheduler(
-            registry=object(), n_workers=1, poll_interval=0.02
+            registry=object(), n_workers=1
         )
         with ServiceServer(scheduler, port=0) as server:
             yield ServiceClient(server.url, timeout=10.0)

@@ -29,7 +29,6 @@ from tests.helpers import (
 
 def make_scheduler(factory, journal_dir, **kwargs):
     kwargs.setdefault("n_workers", 1)
-    kwargs.setdefault("poll_interval", 0.02)
     return Scheduler(
         registry=object(),
         factory=factory,
@@ -106,7 +105,7 @@ class TestQueuedJobSurvival:
 
 
 class TestRunningJobRetry:
-    def _crash_one(self, factory, tmp_path, **kwargs):
+    def _crash_one(self, factory, tmp_path, crashes, **kwargs):
         """Run one job into an injected mid-run crash; return the job."""
         crashed = CrashingScheduler(
             registry=object(),
@@ -119,20 +118,16 @@ class TestRunningJobRetry:
         job = crashed.submit(spec("victim"))
         # The worker thread dies on SimulatedCrash; the job is left
         # RUNNING in memory and "started" in the journal.
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if crashed.backend.calls >= 1 and not any(
-                t.is_alive() for t in crashed._threads
-            ):
-                break
-            time.sleep(0.01)
+        assert crashes.wait(1) == 1
         assert job.state == JobState.RUNNING
         return job
 
-    def test_crashed_running_job_is_retried_once(self, tmp_path):
+    def test_crashed_running_job_is_retried_once(
+        self, tmp_path, expected_crashes
+    ):
         factory = StubFactory()
         factory.on("victim", lambda: None)
-        job = self._crash_one(factory, tmp_path)
+        job = self._crash_one(factory, tmp_path, expected_crashes)
 
         revived = make_scheduler(factory, tmp_path)
         restored = revived.get(job.id)
@@ -146,10 +141,12 @@ class TestRunningJobRetry:
         assert recovery["retried"] == 1
         assert revived.metrics()["retries"]["total"] == 1
 
-    def test_retry_budget_exhaustion_fails_the_job(self, tmp_path):
+    def test_retry_budget_exhaustion_fails_the_job(
+        self, tmp_path, expected_crashes
+    ):
         factory = StubFactory()
         factory.on("victim", lambda: None)
-        job = self._crash_one(factory, tmp_path)
+        job = self._crash_one(factory, tmp_path, expected_crashes)
         # Recover with a zero retry budget: the one crash already spent it.
         revived = make_scheduler(factory, tmp_path, max_retries=0)
         restored = revived.get(job.id)
@@ -165,10 +162,12 @@ class TestRunningJobRetry:
         assert third.get(job.id).state == JobState.FAILED
         assert third.queue.depth == 0
 
-    def test_retry_count_accumulates_across_crashes(self, tmp_path):
+    def test_retry_count_accumulates_across_crashes(
+        self, tmp_path, expected_crashes
+    ):
         factory = StubFactory()
         factory.on("victim", lambda: None)
-        job = self._crash_one(factory, tmp_path)
+        job = self._crash_one(factory, tmp_path, expected_crashes)
         # Second scheduler also crashes the retried run.
         crashed_again = CrashingScheduler(
             registry=object(),
@@ -178,11 +177,7 @@ class TestRunningJobRetry:
         )
         assert crashed_again.get(job.id).retries == 1
         crashed_again.start()
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if crashed_again.backend.calls >= 1:
-                break
-            time.sleep(0.01)
+        assert expected_crashes.wait(2) == 2
         del crashed_again
 
         revived = make_scheduler(factory, tmp_path)
@@ -284,7 +279,9 @@ class TestReplayDedup:
         assert primary.state == twin.state == JobState.DONE
         assert twin.deduped and twin.result == primary.result
 
-    def test_retried_record_is_durable_before_compaction(self, tmp_path):
+    def test_retried_record_is_durable_before_compaction(
+        self, tmp_path, expected_crashes
+    ):
         """The retry charge is appended as its own record, so a crash
         *during* recovery (before/while compacting) still replays it."""
         factory = StubFactory()
@@ -295,9 +292,7 @@ class TestReplayDedup:
         )
         crashed.start()
         job = crashed.submit(spec("victim"))
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and crashed.backend.calls < 1:
-            time.sleep(0.01)
+        assert expected_crashes.wait(1) == 1
         del crashed
         # Recovery charges the retry; before its compaction is trusted,
         # the journal must already contain a durable retried record.
@@ -424,7 +419,7 @@ class TestJournalMechanics:
             factory.on(f"j{i}", lambda: None)
         scheduler = Scheduler(
             registry=object(), factory=factory, journal=journal,
-            n_workers=1, poll_interval=0.02,
+            n_workers=1,
         )
         with scheduler:
             jobs = [
@@ -447,7 +442,7 @@ class TestJournalMechanics:
             factory.on(f"j{i}", lambda: None)
         scheduler = Scheduler(
             registry=object(), factory=factory, journal=journal,
-            n_workers=1, poll_interval=0.02,
+            n_workers=1,
         )
         with scheduler:
             for i in range(8):
@@ -676,7 +671,7 @@ class TestRecoverCLI:
         assert report["compacted_records"] == 2
 
     def test_recover_flags_running_jobs_by_retry_budget(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, expected_crashes
     ):
         from repro.cli import main
 
@@ -688,9 +683,7 @@ class TestRecoverCLI:
         )
         crashed.start()
         job = crashed.submit(spec("victim"))
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and crashed.backend.calls < 1:
-            time.sleep(0.01)
+        assert expected_crashes.wait(1) == 1
         del crashed
 
         assert main([

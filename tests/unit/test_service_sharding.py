@@ -79,7 +79,7 @@ class TestValidation:
 
 class TestFanOut:
     def test_parent_lifecycle_and_lineage(self):
-        with Scheduler(n_workers=2, poll_interval=0.02) as scheduler:
+        with Scheduler(n_workers=2) as scheduler:
             parent = scheduler.submit(Scenario(**QUICK), shards=2)
             assert parent.shards == 2 and parent.is_shard_parent
             job = scheduler.wait(parent.id, timeout=120)
@@ -112,7 +112,7 @@ class TestFanOut:
 
         cache = ResultCache(tmp_path / "cache")
         with Scheduler(
-            result_cache=cache, n_workers=2, poll_interval=0.02
+            result_cache=cache, n_workers=2
         ) as scheduler:
             spec = Scenario(**QUICK)
             first = scheduler.submit(spec, shards=2)
@@ -157,7 +157,7 @@ class TestFanOut:
                 return thunk()
 
         with Scheduler(
-            backend=ShardKiller(), n_workers=1, poll_interval=0.02
+            backend=ShardKiller(), n_workers=1
         ) as scheduler:
             parent = scheduler.submit(Scenario(**QUICK), shards=2)
             job = scheduler.wait(parent.id, timeout=120)
@@ -174,7 +174,7 @@ class TestFanOut:
 class TestShardIdentity:
     def run_sharded(self, shards, n_workers=4):
         with Scheduler(
-            n_workers=n_workers, poll_interval=0.02
+            n_workers=n_workers
         ) as scheduler:
             parent = scheduler.submit(Scenario(**EXHAUSTIVE), shards=shards)
             job = scheduler.wait(parent.id, timeout=300)
