@@ -2,8 +2,8 @@
 
 Every job the service runs records a span tree — the synthetic
 ``queue-wait``, then ``run`` wrapping ``scenario-build``, ``search``,
-per-``level`` expansions, ``valuate`` batches, surrogate
-``oracle-fit``s, ``verify``, and ``pareto-thin``. Sharded parents link
+per-``level`` expansions, ``valuate`` batches, surrogate refits
+(``surrogate-fit``), ``verify``, and ``pareto-thin``. Sharded parents link
 per-``shard`` spans (each carrying its child's job id) plus the final
 ``shard-merge``. The trace persists with the job record, so it answers
 after a restart too. This example:

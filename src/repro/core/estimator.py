@@ -384,7 +384,7 @@ class MOGBEstimator(Estimator):
         if not force and self._surrogate is not None:
             if n - self._records_at_fit < self.refit_every:
                 return
-        with span("oracle-fit", n_records=n):
+        with span("surrogate-fit", n_records=n):
             backbone = (
                 MultiOutputHistGradientBoosting
                 if self.surrogate == "hist"

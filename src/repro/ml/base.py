@@ -130,7 +130,11 @@ class Model(abc.ABC):
     def fit(self, X, y) -> "Model":
         """Fit on (X, y); subclasses implement ``_fit``."""
         X = self._check_features(X)
-        y = check_vector(y, X.shape[0])
+        return self._fit_checked(X, check_vector(y, X.shape[0]))
+
+    def _fit_checked(self, X, y) -> "Model":
+        """``fit`` on inputs that already passed its checks (ensembles
+        refitting base learners on one validated matrix)."""
         rng = make_rng(self.seed)
         start = time.perf_counter()
         self._fit(X, y, rng)

@@ -17,7 +17,7 @@ import numpy as np
 from ..exceptions import ModelError
 from ..rng import spawn_rng
 from .base import Classifier, Model, Regressor, sigmoid, softmax
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, TreeStack
 
 
 class GradientBoostingRegressor(Regressor):
@@ -64,28 +64,31 @@ class GradientBoostingRegressor(Regressor):
                 min_samples_leaf=self.min_samples_leaf,
                 seed=int(tree_rng.integers(2**31)),
             )
-            tree.fit(X[idx], residual[idx])
-            current = current + self.learning_rate * tree.predict(X)
+            tree._fit_checked(X[idx], residual[idx])
+            current = current + self.learning_rate * tree._predict(X)
             self.estimators_.append(tree)
             importances += tree.feature_importances_
             self.train_losses_.append(float(np.mean((y - current) ** 2)))
+        self._stack = TreeStack(self.estimators_)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
 
+    def _stages(self, X) -> np.ndarray:
+        """(n_estimators + 1, n): the prediction after 0, 1, ... rounds.
+
+        Row-wise ``cumsum`` adds the rounds in order, the same sums as
+        accumulating one tree at a time."""
+        steps = np.empty((self._stack.n_trees + 1, X.shape[0]))
+        steps[0] = self.init_
+        steps[1:] = self.learning_rate * self._stack.predict(X)
+        return steps.cumsum(axis=0)
+
     def _predict(self, X):
-        out = np.full(X.shape[0], self.init_)
-        for tree in self.estimators_:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        return self._stages(X)[-1]
 
     def staged_predict(self, X) -> np.ndarray:
         """(n_estimators, n) predictions after each boosting round."""
-        out = np.full(X.shape[0], self.init_)
-        stages = []
-        for tree in self.estimators_:
-            out = out + self.learning_rate * tree.predict(X)
-            stages.append(out.copy())
-        return np.stack(stages) if stages else np.empty((0, X.shape[0]))
+        return self._stages(self._check_features(X))[1:]
 
     def _cost(self, n, d):
         return sum(t.training_cost_ for t in self.estimators_)
@@ -131,8 +134,8 @@ class GradientBoostingClassifier(Classifier):
                     min_samples_leaf=self.min_samples_leaf,
                     seed=int(spawn_rng(self.seed, "gbc", t, j).integers(2**31)),
                 )
-                tree.fit(X, residual)
-                raw[:, j] += self.learning_rate * tree.predict(X)
+                tree._fit_checked(X, residual)
+                raw[:, j] += self.learning_rate * tree._predict(X)
                 round_trees.append(tree)
                 importances += tree.feature_importances_
             self.estimators_.append(round_trees)
@@ -143,7 +146,7 @@ class GradientBoostingClassifier(Classifier):
         raw = np.tile(self.init_raw_, (X.shape[0], 1))
         for round_trees in self.estimators_:
             for j, tree in enumerate(round_trees):
-                raw[:, j] += self.learning_rate * tree.predict(X)
+                raw[:, j] += self.learning_rate * tree._predict(X)
         return raw
 
     def _predict_proba(self, X):

@@ -3,7 +3,7 @@
 Spans are plain JSON-serializable dicts so they can cross the scheduler's
 process-backend pipe and be persisted verbatim in the job journal::
 
-    {"id": 3, "parent": 1, "name": "oracle-fit",
+    {"id": 3, "parent": 1, "name": "surrogate-fit",
      "start": 1723110000.1, "end": 1723110000.4,
      "attrs": {"job_id": "j-abc", "level": 2}}
 

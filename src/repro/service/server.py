@@ -172,6 +172,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = f"repro-service/{__version__}"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in separate writes; with Nagle on, the body
+    # of a kept-alive connection's next response waits out the client's
+    # delayed ACK (~40 ms). ``setup()`` sets TCP_NODELAY from this flag.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------------
     @property
@@ -715,6 +719,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, job.to_payload())
 
 
+#: How often the acceptor loop checks for a shutdown request. ``stop()``
+#: waits up to one interval on an idle server (socketserver's default,
+#: 0.5 s, made every stop of an idle server that slow).
+_POLL_INTERVAL_S = 0.05
+
+
 class ServiceServer:
     """A scheduler bound to a listening HTTP socket.
 
@@ -761,6 +771,7 @@ class ServiceServer:
         self.scheduler.start()
         self._thread = threading.Thread(
             target=self._http.serve_forever,
+            args=(_POLL_INTERVAL_S,),
             name="repro-service-http",
             daemon=True,
         )
@@ -769,7 +780,7 @@ class ServiceServer:
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted (CLI mode)."""
         self.scheduler.start()
-        self._http.serve_forever()
+        self._http.serve_forever(_POLL_INTERVAL_S)
 
     def stop(self, drain: bool = False) -> None:
         """Stop accepting requests, then stop the worker pool.

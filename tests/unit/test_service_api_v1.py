@@ -10,6 +10,8 @@ serves weak ETags so unchanged polls are empty ``304``\\ s.
 """
 
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -25,6 +27,7 @@ from repro.exceptions import (
     UnknownRouteError,
 )
 from repro.service import Scheduler, ServiceClient, ServiceServer
+from tests.helpers import StubFactory
 
 INLINE_SPEC = dict(
     task="T3", algorithm="apx", epsilon=0.3, budget=6, max_level=2,
@@ -39,6 +42,30 @@ def service(tmp_path):
         client = ServiceClient(server.url, timeout=10.0)
         client.scheduler = scheduler
         yield client
+
+
+@pytest.fixture()
+def blocked():
+    """A service whose single worker is pinned by a gated ``blocker`` job,
+    so a job submitted as ``watched`` stays QUEUED until teardown. A
+    real job cannot serve as the blocker: with warm caches it finishes
+    within a few requests."""
+    gate = threading.Event()
+    factory = StubFactory()
+    factory.on("blocker", gate.wait)
+    factory.on("watched", lambda: None)
+    scheduler = Scheduler(factory=factory, registry=object(), n_workers=1)
+    with ServiceServer(scheduler, port=0) as server:
+        try:
+            client = ServiceClient(server.url, timeout=10.0)
+            blocker = client.submit(**dict(INLINE_SPEC, name="blocker"))
+            deadline = time.monotonic() + 10.0
+            while client.job(blocker["id"])["state"] != "running":
+                assert time.monotonic() < deadline, "blocker never ran"
+                time.sleep(0.02)
+            yield client
+        finally:
+            gate.set()  # else stopping the server waits on the blocker
 
 
 def raw(client, method, path, body=None, headers=None):
@@ -98,18 +125,17 @@ class TestErrorEnvelope:
         with pytest.raises(UnknownJobError, match="404"):
             service.result("job-missing")
 
-    def test_result_not_ready(self, service):
-        # Queue the job behind a blocker so it has no result yet.
-        service.submit(**dict(INLINE_SPEC, budget=40))
-        record = service.submit(**INLINE_SPEC)
+    def test_result_not_ready(self, blocked):
+        # The job waits behind the blocker, so it has no result yet.
+        record = blocked.submit(**dict(INLINE_SPEC, name="watched"))
         status, _, body = raw(
-            service, "GET", f"/v1/results/{record['id']}"
+            blocked, "GET", f"/v1/results/{record['id']}"
         )
         assert status == 409
         error = self.every_envelope(status, body, "result-not-ready")
         assert error["detail"]["state"] == "queued"
         with pytest.raises(ResultNotReadyError, match="409"):
-            service.result(record["id"])
+            blocked.result(record["id"])
 
     def test_not_cancellable(self, service):
         record = service.submit(**INLINE_SPEC)
@@ -232,10 +258,10 @@ class TestListErgonomics:
 
 
 class TestETagPolling:
-    def test_304_while_unchanged_then_200_on_change(self, service):
-        # A blocker keeps the watched job QUEUED for the whole test.
-        service.submit(**dict(INLINE_SPEC, budget=40))
-        record = service.submit(**INLINE_SPEC)
+    def test_304_while_unchanged_then_200_on_change(self, blocked):
+        # The blocker keeps the watched job QUEUED for the whole test.
+        service = blocked
+        record = service.submit(**dict(INLINE_SPEC, name="watched"))
         status, headers, _ = raw(
             service, "GET", f"/v1/jobs/{record['id']}"
         )

@@ -312,6 +312,17 @@ class TestHTTPSurface:
         names = {s["name"] for s in payload["spans"]}
         assert {"queue-wait", "run", "search"} <= names
 
+    def test_mogb_job_trace_names_the_surrogate_refit(self, service):
+        """The MO-GBM refit is a surrogate layer, not oracle training."""
+        job = service.submit(
+            task="T3", algorithm="apx", epsilon=0.3, budget=6,
+            max_level=2, scale=0.2, estimator="mogb", n_bootstrap=6,
+        )
+        assert service.wait(job["id"], timeout=120.0)["state"] == "done"
+        names = {s["name"] for s in service.trace(job["id"])["spans"]}
+        assert "surrogate-fit" in names
+        assert "oracle-fit" not in names
+
     def test_trace_unknown_job_is_404(self, service):
         from repro.exceptions import ServiceError
 

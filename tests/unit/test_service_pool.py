@@ -10,6 +10,7 @@ shutdown while a long-poll is parked.
 
 import http.client
 import json
+import socket
 import threading
 import time
 from urllib.parse import urlsplit
@@ -89,6 +90,27 @@ class TestKeepAlive:
                 assert response.getheader("Connection") != "close"
         finally:
             conn.close()
+
+    def test_accepted_sockets_disable_nagle(self, server, monkeypatch):
+        # headers and body are separate writes: without TCP_NODELAY the
+        # body of a kept-alive response waits for the peer's delayed ACK
+        nodelay = []
+        make_handler = type(server._http)._make_handler
+
+        def spy(self, conn):
+            handler = make_handler(self, conn)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            return handler
+
+        monkeypatch.setattr(type(server._http), "_make_handler", spy)
+        conn = open_connection(server.url)
+        try:
+            conn.request("GET", "/v1/healthz")
+            assert conn.getresponse().read()
+        finally:
+            conn.close()
+        assert nodelay and all(nodelay)
 
     def test_error_envelope_keeps_the_connection(self, server):
         conn = open_connection(server.url)
@@ -226,6 +248,16 @@ class TestLongPollSlots:
 
 
 class TestPromptShutdown:
+    def test_idle_server_stops_promptly(self):
+        server = ServiceServer(make_scheduler(), port=0)
+        server.start()
+        time.sleep(0.1)  # the acceptor is parked in its poll wait
+        start = time.monotonic()
+        server.stop()
+        elapsed = time.monotonic() - start
+        # a 0.5 s poll would leave ~0.4 s to wait out here
+        assert elapsed < 0.3, f"idle stop() took {elapsed:.3f}s"
+
     def test_stop_does_not_wait_out_inflight_long_polls(self):
         scheduler = make_scheduler()
         server = ServiceServer(scheduler, port=0)

@@ -37,6 +37,13 @@ def make_scheduler(factory, journal_dir, **kwargs):
     )
 
 
+def wait_for(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
 class TestQueuedJobSurvival:
     def test_queued_jobs_requeue_after_crash(self, tmp_path):
         factory = StubFactory()
@@ -87,9 +94,10 @@ class TestQueuedJobSurvival:
         running = scheduler.submit(spec("gate", budget=7))
         q1 = scheduler.submit(spec("q1", budget=8))
         q2 = scheduler.submit(spec("q2", budget=9))
+        wait_for(lambda: running.state == JobState.RUNNING)
         stopper = threading.Thread(target=scheduler.stop)
         stopper.start()
-        time.sleep(0.1)  # let stop() close the queue first
+        wait_for(lambda: scheduler.queue.closed)  # stop() closed it first
         gate.set()
         stopper.join(timeout=10.0)
         assert not stopper.is_alive()
